@@ -47,12 +47,48 @@ fn directory_ops(c: &mut Criterion) {
             d.remove(f, NodeId((f % 4) as usize));
         })
     });
+    // Every file already has three holders, so each add spills the slot
+    // to the side map and each remove moves it back inline.
+    group.bench_function("add_remove_spill", |b| {
+        let mut d = Directory::new(60_000);
+        for f in 0..60_000 {
+            for n in 0..3 {
+                d.add(f, NodeId(n));
+            }
+        }
+        let mut f = 0u32;
+        b.iter(|| {
+            f = (f + 101) % 60_000;
+            d.add(f, NodeId(3 + (f % 4) as usize));
+            d.remove(f, NodeId(3 + (f % 4) as usize));
+        })
+    });
     group.bench_function("drop_node_60k_files", |b| {
         b.iter_batched(
             || {
                 let mut d = Directory::new(60_000);
                 for f in 0..60_000 {
                     d.add(f, NodeId((f % 4) as usize));
+                }
+                d
+            },
+            |mut d| {
+                d.drop_node(NodeId(3));
+                black_box(d.entries())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The `scale64` workload's size: 96,000 files over 64 nodes, one to
+    // four holders per file, so a quarter of the files are spilled.
+    group.bench_function("drop_node_96k_files_64_nodes", |b| {
+        b.iter_batched(
+            || {
+                let mut d = Directory::new(96_000);
+                for f in 0..96_000u32 {
+                    for k in 0..=f % 4 {
+                        d.add(f, NodeId(((f + k) % 64) as usize));
+                    }
                 }
                 d
             },

@@ -29,7 +29,7 @@ use transport::{
     BreakReason, CallParams, Effects, SendInterposer, SendStatus, Substrate, Upcall,
 };
 
-use crate::cache::{Directory, LruCache};
+use crate::cache::{Directory, LruCache, MAX_NODES};
 use crate::config::{CacheSyncImpl, MembershipImpl, PressConfig};
 use crate::msg::{FileId, MsgBody, PressMsg, Request};
 use crate::version::PressVersion;
@@ -249,7 +249,17 @@ pub struct PressNode {
 
 impl PressNode {
     /// Creates a stopped node; call [`PressNode::start`] to boot it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.nodes` exceeds [`MAX_NODES`], the largest
+    /// cluster the caching directory can name.
     pub fn new(id: NodeId, version: PressVersion, config: PressConfig) -> Self {
+        assert!(
+            config.nodes <= MAX_NODES,
+            "PressConfig::nodes = {} exceeds the caching directory's limit of {MAX_NODES} nodes",
+            config.nodes
+        );
         let cache = LruCache::new(config.cache_entries());
         let directory = Directory::new(config.files);
         let nodes = config.nodes;
@@ -608,8 +618,6 @@ impl PressNode {
         let holder = self
             .directory
             .holders(req.file)
-            .iter()
-            .copied()
             .filter(|n| *n != self.id && self.members.contains(n) && ctx.sub.is_connected(*n))
             .min_by_key(|n| self.load_map[n.0]);
         match holder {
@@ -2531,14 +2539,23 @@ mod tests {
         };
         rig.node.directory.add(9, NodeId(1));
         deliver(&mut rig, 1);
-        assert_eq!(rig.node.directory().holders(7), &[NodeId(1)]);
-        assert_eq!(rig.node.directory().holders(8), &[NodeId(1)]);
-        assert!(rig.node.directory().holders(9).is_empty());
+        let holders = |rig: &Rig, f| rig.node.directory().holders(f).collect::<Vec<_>>();
+        assert_eq!(holders(&rig, 7), [NodeId(1)]);
+        assert_eq!(holders(&rig, 8), [NodeId(1)]);
+        assert!(holders(&rig, 9).is_empty());
         // A digest from a non-member is ignored.
         rig.with(|n, ctx| n.exclude(ctx, NodeId(2), false));
         deliver(&mut rig, 2);
-        assert!(rig.node.directory().holders(7).contains(&NodeId(1)));
-        assert!(!rig.node.directory().holders(7).contains(&NodeId(2)));
+        assert_eq!(holders(&rig, 7), [NodeId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the caching directory's limit of 65535 nodes")]
+    fn cluster_larger_than_the_directory_limit_is_rejected() {
+        let mut config = PressConfig::paper_testbed();
+        config.nodes = MAX_NODES + 1;
+        config.files = 10;
+        PressNode::new(NodeId(0), PressVersion::Tcp, config);
     }
 
     #[test]

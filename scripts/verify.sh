@@ -22,6 +22,15 @@ cargo build --release --workspace
 echo "== cargo clippy"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "== bench-harness benches compile"
+# The Criterion benches are gated behind the `bench-harness` feature, so
+# a plain build never compiles them; build them here so a library API
+# change cannot leave them broken unseen.
+cargo build --release -p bench --features bench-harness --benches
+
+echo "== perfbench self-tests"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test"
 # Single-threaded: the parallel-identity sweeps mutate the process-wide
 # sim-threads default, and serial runs keep timing-sensitive output
