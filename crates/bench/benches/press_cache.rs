@@ -2,7 +2,7 @@
 //! workload generator.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use press::cache::{Directory, LruCache};
+use press::cache::{DigestLog, Directory, LruCache};
 use simnet::fabric::NodeId;
 use simnet::SimRng;
 use std::hint::black_box;
@@ -102,6 +102,44 @@ fn directory_ops(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `scale64` digest period per iteration: 32 caching deltas, then
+/// flushes to the next 2 of 64 peers round-robin and a collection at
+/// the slowest peer's watermark. Each peer's turn comes every 32
+/// periods, so the log holds about 1,000 deltas.
+fn digest_ops(c: &mut Criterion) {
+    const PEERS: usize = 64;
+    let mut group = c.benchmark_group("digest");
+    group.bench_function("flush_1k", |b| {
+        let mut log = DigestLog::default();
+        let mut seen = [0u64; PEERS];
+        let (mut k, mut cursor) = (0u32, 0);
+        let mut period = move || {
+            // Files from a multiplicative hash over 2,048 ids, so some
+            // deltas coalesce with older ones still in the log.
+            for _ in 0..32 {
+                k = k.wrapping_add(1);
+                let file = (k.wrapping_mul(0x9E37_79B9) >> 20) % 2_048;
+                log.record(file, file % 3 != 0);
+            }
+            let mut sent = 0;
+            for _ in 0..2 {
+                cursor = (cursor + 1) % PEERS;
+                let (adds, evicts) = log.unsent_since(seen[cursor]);
+                sent += adds.len() + evicts.len();
+                seen[cursor] = log.gen();
+            }
+            log.gc(*seen.iter().min().expect("peers"));
+            sent
+        };
+        // Two rounds of every peer fill the log to its steady size.
+        for _ in 0..PEERS {
+            period();
+        }
+        b.iter(|| black_box(period()))
+    });
+    group.finish();
+}
+
 fn zipf_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("zipf");
     group.throughput(Throughput::Elements(1));
@@ -115,5 +153,5 @@ fn zipf_sampling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, lru_ops, directory_ops, zipf_sampling);
+criterion_group!(benches, lru_ops, directory_ops, digest_ops, zipf_sampling);
 criterion_main!(benches);

@@ -44,6 +44,24 @@ fn tcp_pair() -> (TcpStack<u64>, TcpStack<u64>) {
     (a, b)
 }
 
+/// Ferries frames among `stacks`, where stack `n` is node `n`, until
+/// quiescent.
+fn pump_many(now: SimTime, stacks: &mut [TcpStack<u64>], mut effects: Vec<Effect<u64>>) -> usize {
+    let mut delivered = 0;
+    while let Some(e) = effects.pop() {
+        match e {
+            Effect::Transmit(frame) => {
+                let mut out = Vec::new();
+                stacks[frame.dst.0].frame_arrived(now, frame, &mut out);
+                effects.extend(out);
+            }
+            Effect::Upcall(transport::Upcall::Deliver { .. }) => delivered += 1,
+            _ => {}
+        }
+    }
+    delivered
+}
+
 fn via_pair() -> (ViaNic<u64>, ViaNic<u64>) {
     let mut a = ViaNic::new(NodeId(0), ViaConfig::remote_write(), CostModel::via5());
     let mut b = ViaNic::new(NodeId(1), ViaConfig::remote_write(), CostModel::via5());
@@ -73,6 +91,36 @@ fn message_round_trips(c: &mut Criterion) {
                 &mut out,
             );
             black_box(pump(SimTime::ZERO, &mut s, &mut r, out))
+        })
+    });
+
+    // Node 0 holds established connections to 63 peers, as every node
+    // of the N=64 cluster does, and sends one message to each in turn;
+    // each peer's ACK comes back before the next send.
+    group.bench_function("tcp_send_ack_63_peers", |b| {
+        let mut stacks: Vec<TcpStack<u64>> = (0..64)
+            .map(|n| TcpStack::new(NodeId(n), TcpConfig::default(), CostModel::tcp()))
+            .collect();
+        for peer in 1..64 {
+            let mut out = Vec::new();
+            stacks[0].open(SimTime::ZERO, NodeId(peer), &mut out);
+            pump_many(SimTime::ZERO, &mut stacks, out);
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let peer = NodeId(1 + (i % 63) as usize);
+            let mut out = Vec::new();
+            stacks[0].send(
+                SimTime::ZERO,
+                peer,
+                MsgClass::Forward,
+                i,
+                256,
+                CallParams::default(),
+                &mut out,
+            );
+            black_box(pump_many(SimTime::ZERO, &mut stacks, out))
         })
     });
 

@@ -1,16 +1,30 @@
-//! Cooperative caching: the per-node LRU file cache and the
-//! cluster-wide caching directory each node maintains from broadcasts.
+//! Cooperative caching: the per-node LRU file cache, the cluster-wide
+//! caching directory each node maintains from broadcasts, and the log of
+//! caching deltas a node batches into digests.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 use simnet::fabric::NodeId;
 
 use crate::msg::FileId;
 
+/// Slab index standing for "no entry" in the LRU list.
+const NIL: u32 = u32::MAX;
+
+/// One cached file and its neighbours in recency order.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    file: FileId,
+    older: u32,
+    newer: u32,
+}
+
 /// A least-recently-used cache of equally sized files.
 ///
 /// Capacity is expressed in entries (the trace normalizes all files to
-/// the same size, §5.1).
+/// the same size, §5.1). The entries form a doubly linked list, oldest
+/// to newest, threaded through a slab whose freed slots are reused; a
+/// map from file to slab slot finds an entry.
 ///
 /// # Example
 ///
@@ -26,9 +40,11 @@ use crate::msg::FileId;
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity: usize,
-    tick: u64,
-    by_file: HashMap<FileId, u64>,
-    by_age: BTreeMap<u64, FileId>,
+    slab: Vec<Link>,
+    free: Vec<u32>,
+    oldest: u32,
+    newest: u32,
+    index: HashMap<FileId, u32>,
 }
 
 impl LruCache {
@@ -36,14 +52,20 @@ impl LruCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit a `u32` slab index.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        assert!(
+            capacity < NIL as usize,
+            "cache capacity {capacity} too large"
+        );
         LruCache {
             capacity,
-            tick: 0,
-            by_file: HashMap::new(),
-            by_age: BTreeMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            index: HashMap::new(),
         }
     }
 
@@ -54,28 +76,28 @@ impl LruCache {
 
     /// Current entries.
     pub fn len(&self) -> usize {
-        self.by_file.len()
+        self.index.len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.by_file.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether `file` is cached (does not refresh recency).
     pub fn contains(&self, file: FileId) -> bool {
-        self.by_file.contains_key(&file)
+        self.index.contains_key(&file)
     }
 
     /// Marks `file` most recently used. Returns `false` if absent.
     pub fn touch(&mut self, file: FileId) -> bool {
-        let Some(age) = self.by_file.get(&file).copied() else {
+        let Some(&i) = self.index.get(&file) else {
             return false;
         };
-        self.by_age.remove(&age);
-        self.tick += 1;
-        self.by_age.insert(self.tick, file);
-        self.by_file.insert(file, self.tick);
+        if i != self.newest {
+            self.unlink(i);
+            self.push_newest(i);
+        }
         true
     }
 
@@ -86,47 +108,221 @@ impl LruCache {
         if self.touch(file) {
             return None;
         }
-        let evicted = if self.by_file.len() >= self.capacity {
-            let (_, victim) = self.by_age.pop_first().expect("cache is full, so nonempty");
-            self.by_file.remove(&victim);
-            Some(victim)
+        let evicted = if self.len() >= self.capacity {
+            self.pop_lru()
         } else {
             None
         };
-        self.tick += 1;
-        self.by_age.insert(self.tick, file);
-        self.by_file.insert(file, self.tick);
+        let link = Link {
+            file,
+            older: NIL,
+            newer: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = link;
+                i
+            }
+            None => {
+                self.slab.push(link);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.push_newest(i);
+        self.index.insert(file, i);
         evicted
     }
 
     /// Removes `file`; returns whether it was present.
     pub fn remove(&mut self, file: FileId) -> bool {
-        match self.by_file.remove(&file) {
-            Some(age) => {
-                self.by_age.remove(&age);
-                true
-            }
-            None => false,
-        }
+        let Some(i) = self.index.remove(&file) else {
+            return false;
+        };
+        self.unlink(i);
+        self.free.push(i);
+        true
     }
 
     /// Removes and returns the least recently used file.
     pub fn pop_lru(&mut self) -> Option<FileId> {
-        let (_, victim) = self.by_age.pop_first()?;
-        self.by_file.remove(&victim);
+        if self.oldest == NIL {
+            return None;
+        }
+        let victim = self.slab[self.oldest as usize].file;
+        self.remove(victim);
         Some(victim)
     }
 
-    /// All cached files (unspecified order).
+    /// All cached files, least recently used first.
     pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.by_age.values().copied()
+        let next = |i: u32| (i != NIL).then(|| self.slab[i as usize]);
+        std::iter::successors(next(self.oldest), move |l| next(l.newer)).map(|l| l.file)
     }
 
     /// Drops everything.
     pub fn clear(&mut self) {
-        self.by_file.clear();
-        self.by_age.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.index.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
     }
+
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Link { older, newer, .. } = self.slab[i as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slab[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slab[n as usize].older = older,
+        }
+    }
+
+    /// Links slot `i` in as the most recently used entry.
+    fn push_newest(&mut self, i: u32) {
+        let link = &mut self.slab[i as usize];
+        link.older = self.newest;
+        link.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slab[n as usize].newer = i,
+        }
+        self.newest = i;
+    }
+}
+
+/// One recorded caching delta.
+#[derive(Debug, Clone, Copy)]
+struct Delta {
+    file: FileId,
+    cached: bool,
+    /// `false` once a newer delta for the same file was recorded.
+    live: bool,
+}
+
+/// Coalesced caching deltas awaiting digest flushes.
+///
+/// Each delta gets the next generation and goes at the back, so the
+/// delta of generation `g` sits at index `g - front` where `front` is
+/// the oldest kept generation. Recording a file again marks its older
+/// delta dead: only a file's newest delta is ever sent. Flushes and
+/// [`DigestLog::pending`] list files in ascending id order.
+///
+/// # Example
+///
+/// ```
+/// use press::cache::DigestLog;
+///
+/// let mut log = DigestLog::default();
+/// log.record(7, true);
+/// log.record(3, true);
+/// log.record(7, false); // coalesces with the add of 7
+/// assert_eq!(log.unsent_since(0), (vec![3], vec![7]));
+/// assert_eq!(log.unsent_since(2), (vec![], vec![7]));
+/// log.gc(2);
+/// assert_eq!(log.pending(0), [7]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DigestLog {
+    /// Generation of the newest delta (0 before the first).
+    gen: u64,
+    deltas: VecDeque<Delta>,
+    /// The generation of each file's live delta.
+    live: HashMap<FileId, u64>,
+    /// Flush scratch: two bits per file id, add then evict; all clear
+    /// between flushes.
+    marks: Vec<u64>,
+}
+
+impl DigestLog {
+    /// The newest generation recorded.
+    pub fn gen(&self) -> u64 {
+        self.gen
+    }
+
+    /// `true` when no live delta is kept.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+
+    /// Records that `file` is now cached (`true`) or evicted, under the
+    /// next generation.
+    pub fn record(&mut self, file: FileId, cached: bool) {
+        self.gen += 1;
+        self.deltas.push_back(Delta {
+            file,
+            cached,
+            live: true,
+        });
+        if let Some(old) = self.live.insert(file, self.gen) {
+            let i = (old - front(&self.deltas, self.gen)) as usize;
+            self.deltas[i].live = false;
+        }
+    }
+
+    /// The files added and evicted after generation `seen`, each list in
+    /// ascending order.
+    pub fn unsent_since(&mut self, seen: u64) -> (Vec<FileId>, Vec<FileId>) {
+        // Sort by marking each file's bit, then reading the marks back
+        // in id order: linear in the deltas sent plus the marked span.
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for d in live_after(&self.deltas, self.gen, seen) {
+            let bit = 2 * d.file as usize + usize::from(!d.cached);
+            let w = bit / 64;
+            if w >= self.marks.len() {
+                self.marks.resize(w + 1, 0);
+            }
+            self.marks[w] |= 1 << (bit % 64);
+            (lo, hi) = (lo.min(w), hi.max(w));
+        }
+        let (mut adds, mut evicts) = (Vec::new(), Vec::new());
+        for w in lo..=hi {
+            let mut bits = std::mem::take(&mut self.marks[w]);
+            while bits != 0 {
+                let bit = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let list = if bit & 1 == 0 { &mut adds } else { &mut evicts };
+                list.push((bit / 2) as FileId);
+            }
+        }
+        (adds, evicts)
+    }
+
+    /// Forgets every delta of generation `floor` or older.
+    pub fn gc(&mut self, floor: u64) {
+        while front(&self.deltas, self.gen) <= floor {
+            let Some(d) = self.deltas.pop_front() else {
+                break;
+            };
+            if d.live {
+                self.live.remove(&d.file);
+            }
+        }
+    }
+
+    /// Files with a live delta newer than `floor`, ascending.
+    pub fn pending(&self, floor: u64) -> Vec<FileId> {
+        let mut files: Vec<FileId> = live_after(&self.deltas, self.gen, floor)
+            .map(|d| d.file)
+            .collect();
+        files.sort_unstable();
+        files
+    }
+}
+
+/// Generation of the oldest of `deltas`, the newest being `gen`
+/// (`gen + 1` when there are none).
+fn front(deltas: &VecDeque<Delta>, gen: u64) -> u64 {
+    gen + 1 - deltas.len() as u64
+}
+
+/// Live `deltas` of generations after `seen`, oldest first.
+fn live_after(deltas: &VecDeque<Delta>, gen: u64, seen: u64) -> impl Iterator<Item = &Delta> {
+    let skip = (seen + 1).saturating_sub(front(deltas, gen)) as usize;
+    deltas.range(skip.min(deltas.len())..).filter(|d| d.live)
 }
 
 /// Holder ids a directory slot keeps inline before the file spills.
@@ -349,6 +545,115 @@ mod tests {
         c.touch(1);
         let order: Vec<FileId> = c.files().collect();
         assert_eq!(order, [2, 3, 1]);
+    }
+
+    /// Random `insert` / `touch` / `remove` / `pop_lru` sequences at
+    /// capacities 1-8 agree, step by step, with a `Vec` kept oldest to
+    /// newest: same results, same victims, same `files()` order.
+    #[test]
+    fn lru_matches_a_vec_model() {
+        use proptest::prelude::*;
+        const FILES: FileId = 12;
+        proptest::run_cases("lru_matches_a_vec_model", |rng| {
+            let capacity = (1usize..9).sample(rng);
+            let ops = prop::collection::vec((0u8..4, 0..FILES), 1..200).sample(rng);
+            let mut c = LruCache::new(capacity);
+            let mut model: Vec<FileId> = Vec::new();
+            for (op, file) in ops {
+                let pos = model.iter().position(|&f| f == file);
+                match op {
+                    0 => {
+                        let want = match pos {
+                            Some(i) => {
+                                model.remove(i);
+                                None
+                            }
+                            None if model.len() == capacity => Some(model.remove(0)),
+                            None => None,
+                        };
+                        model.push(file);
+                        prop_assert_eq!(c.insert(file), want);
+                    }
+                    1 => {
+                        if let Some(i) = pos {
+                            model.remove(i);
+                            model.push(file);
+                        }
+                        prop_assert_eq!(c.touch(file), pos.is_some());
+                    }
+                    2 => {
+                        if let Some(i) = pos {
+                            model.remove(i);
+                        }
+                        prop_assert_eq!(c.remove(file), pos.is_some());
+                    }
+                    _ => {
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        prop_assert_eq!(c.pop_lru(), want);
+                    }
+                }
+                prop_assert_eq!(c.len(), model.len());
+                prop_assert_eq!(c.files().collect::<Vec<_>>(), model.clone());
+                for f in 0..FILES {
+                    prop_assert_eq!(c.contains(f), model.contains(&f));
+                }
+            }
+            Ok(())
+        });
+    }
+
+    /// Random records, flushes and garbage collections agree with a map
+    /// from file to its newest `(cached, generation)`: every flush sends
+    /// the same adds and evicts in the same order, and the pending list
+    /// matches.
+    #[test]
+    fn digest_log_matches_a_map_model() {
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+        proptest::run_cases("digest_log_matches_a_map_model", |rng| {
+            let files = (1u32..40).sample(rng);
+            let ops = prop::collection::vec((0u8..10, 0..files, any::<u64>()), 1..300).sample(rng);
+            let mut log = DigestLog::default();
+            let mut model: BTreeMap<FileId, (bool, u64)> = BTreeMap::new();
+            let mut gen = 0;
+            for (op, file, pick) in ops {
+                // A watermark or floor anywhere in 0..=gen.
+                let mark = pick % (gen + 1);
+                match op {
+                    0..=5 => {
+                        gen += 1;
+                        model.insert(file, (op < 3, gen));
+                        log.record(file, op < 3);
+                    }
+                    6..=8 => {
+                        let (mut adds, mut evicts) = (Vec::new(), Vec::new());
+                        for (&f, &(cached, g)) in &model {
+                            if g > mark {
+                                if cached {
+                                    adds.push(f);
+                                } else {
+                                    evicts.push(f);
+                                }
+                            }
+                        }
+                        prop_assert_eq!(log.unsent_since(mark), (adds, evicts));
+                    }
+                    _ => {
+                        model.retain(|_, (_, g)| *g > mark);
+                        log.gc(mark);
+                    }
+                }
+                prop_assert_eq!(log.gen(), gen);
+                prop_assert_eq!(log.is_empty(), model.is_empty());
+                let pending: Vec<FileId> = model
+                    .iter()
+                    .filter(|(_, (_, g))| *g > mark)
+                    .map(|(&f, _)| f)
+                    .collect();
+                prop_assert_eq!(log.pending(mark), pending);
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -29,7 +29,7 @@ use transport::{
     BreakReason, CallParams, Effects, SendInterposer, SendStatus, Substrate, Upcall,
 };
 
-use crate::cache::{Directory, LruCache, MAX_NODES};
+use crate::cache::{DigestLog, Directory, LruCache, MAX_NODES};
 use crate::config::{CacheSyncImpl, MembershipImpl, PressConfig};
 use crate::msg::{FileId, MsgBody, PressMsg, Request};
 use crate::version::PressVersion;
@@ -226,16 +226,14 @@ pub struct PressNode {
     suspect_since: BTreeMap<NodeId, SimTime>,
     cache: LruCache,
     directory: Directory,
-    /// Coalesced caching deltas awaiting digest flushes, keyed by file:
-    /// whether the file is now cached here, and the generation the
-    /// delta was recorded at ([`CacheSyncImpl::Digest`] only).
-    digest_log: BTreeMap<FileId, (bool, u64)>,
-    /// Monotonic generation stamped on each recorded delta.
-    digest_gen: u64,
+    /// Coalesced caching deltas awaiting digest flushes
+    /// ([`CacheSyncImpl::Digest`] only).
+    digest_log: DigestLog,
     /// Round-robin flush position over the sorted peer list.
     digest_cursor: usize,
-    /// Highest generation each peer has been sent a digest through.
-    peer_digest_gen: BTreeMap<NodeId, u64>,
+    /// Highest generation each peer has been sent a digest through,
+    /// indexed by peer id.
+    peer_digest_gen: Vec<u64>,
     load_map: Vec<u32>,
     open_requests: u32,
     pending_remote: BTreeMap<u64, (Request, NodeId)>,
@@ -278,10 +276,9 @@ impl PressNode {
             suspect_since: BTreeMap::new(),
             cache,
             directory,
-            digest_log: BTreeMap::new(),
-            digest_gen: 0,
+            digest_log: DigestLog::default(),
             digest_cursor: 0,
-            peer_digest_gen: BTreeMap::new(),
+            peer_digest_gen: vec![0; nodes],
             load_map: vec![0; nodes],
             open_requests: 0,
             pending_remote: BTreeMap::new(),
@@ -363,12 +360,7 @@ impl PressNode {
     /// Files with recorded caching deltas not yet flushed to every
     /// current peer ([`CacheSyncImpl::Digest`]; empty under eager).
     pub fn digest_pending(&self) -> Vec<FileId> {
-        let floor = self.peer_digest_floor();
-        self.digest_log
-            .iter()
-            .filter(|(_, (_, gen))| *gen > floor)
-            .map(|(f, _)| *f)
-            .collect()
+        self.digest_log.pending(self.peer_digest_floor())
     }
 
     /// Whether this node batches caching actions into digests.
@@ -381,9 +373,9 @@ impl PressNode {
         self.members
             .iter()
             .filter(|p| **p != self.id)
-            .map(|p| self.peer_digest_gen.get(p).copied().unwrap_or(0))
+            .map(|p| self.peer_digest_gen[p.0])
             .min()
-            .unwrap_or(self.digest_gen)
+            .unwrap_or(self.digest_log.gen())
     }
 
     /// Boots the process.
@@ -410,10 +402,9 @@ impl PressNode {
         self.deferred.clear();
         self.cache.clear();
         self.directory = Directory::new(self.config.files);
-        self.digest_log.clear();
-        self.digest_gen = 0;
+        self.digest_log = DigestLog::default();
         self.digest_cursor = 0;
-        self.peer_digest_gen.clear();
+        self.peer_digest_gen.fill(0);
         self.disks = vec![ctx.now; self.config.disks_per_node];
         self.last_hb.clear();
         if cold {
@@ -690,8 +681,7 @@ impl PressNode {
         cached: bool,
     ) {
         if self.digest_active() {
-            self.digest_gen += 1;
-            self.digest_log.insert(file, (cached, self.digest_gen));
+            self.digest_log.record(file, cached);
             self.stats.digest_deltas += 1;
             return;
         }
@@ -780,7 +770,7 @@ impl PressNode {
                 self.flush_digest_to(ctx, peer);
             }
             let floor = self.peer_digest_floor();
-            self.digest_log.retain(|_, (_, gen)| *gen > floor);
+            self.digest_log.gc(floor);
         }
         ctx.app.push(AppEffect::Schedule {
             at: ctx.now + self.config.digest_interval,
@@ -791,24 +781,13 @@ impl PressNode {
     /// Sends `peer` every delta it has not seen yet as one
     /// `CacheDigest` frame (nothing if it is already caught up).
     fn flush_digest_to<S: Substrate<PressMsg> + ?Sized>(&mut self, ctx: &mut NodeCtx<'_, S>, peer: NodeId) {
-        let seen = self.peer_digest_gen.get(&peer).copied().unwrap_or(0);
-        let mut adds: Vec<FileId> = Vec::new();
-        let mut evicts: Vec<FileId> = Vec::new();
-        for (&file, &(cached, gen)) in &self.digest_log {
-            if gen > seen {
-                if cached {
-                    adds.push(file);
-                } else {
-                    evicts.push(file);
-                }
-            }
-        }
+        let (adds, evicts) = self.digest_log.unsent_since(self.peer_digest_gen[peer.0]);
+        let gen_at_send = self.digest_log.gen();
         if adds.is_empty() && evicts.is_empty() {
             // Nothing newer than the watermark; advancing it is free.
-            self.peer_digest_gen.insert(peer, self.digest_gen);
+            self.peer_digest_gen[peer.0] = gen_at_send;
             return;
         }
-        let gen_at_send = self.digest_gen;
         let status = self.send_control(
             ctx,
             peer,
@@ -822,7 +801,7 @@ impl PressNode {
         // round-robin turn, so transient congestion or an unreachable
         // peer can delay convergence but never silently lose deltas.
         if status == SendStatus::Accepted {
-            self.peer_digest_gen.insert(peer, gen_at_send);
+            self.peer_digest_gen[peer.0] = gen_at_send;
             self.stats.cache_sync_frames += 1;
             self.stats.digest_flushes += 1;
         } else {

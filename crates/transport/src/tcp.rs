@@ -25,7 +25,7 @@
 //! The implementation is a pure state machine: every entry point appends
 //! [`Effect`]s to a caller-provided buffer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use simnet::fabric::{Frame, LossReason, NodeId};
 use simnet::{SimDuration, SimTime};
@@ -146,7 +146,9 @@ struct Conn<M> {
     next_seq: u64,
     snd_una: u64,
     snd_sent: u64,
-    retained: BTreeMap<u64, MsgRec<M>>,
+    /// Unacknowledged messages in stream order; their `end`s strictly
+    /// increase.
+    retained: VecDeque<MsgRec<M>>,
     poisoned_from: Option<u64>,
     first_unacked_at: Option<SimTime>,
     rto: SimDuration,
@@ -172,7 +174,7 @@ impl<M> Conn<M> {
             next_seq: 0,
             snd_una: 0,
             snd_sent: 0,
-            retained: BTreeMap::new(),
+            retained: VecDeque::new(),
             poisoned_from: None,
             first_unacked_at: None,
             rto,
@@ -191,6 +193,16 @@ impl<M> Conn<M> {
 
     fn buffered(&self) -> u64 {
         self.next_seq - self.snd_una
+    }
+
+    /// Copies of the messages whose final byte lies in `seq + 1..=end`.
+    fn msgs_ending_in(&self, seq: u64, end: u64) -> Vec<MsgRec<M>>
+    where
+        M: Clone,
+    {
+        let lo = self.retained.partition_point(|r| r.end <= seq);
+        let hi = self.retained.partition_point(|r| r.end <= end);
+        self.retained.range(lo..hi).cloned().collect()
     }
 }
 
@@ -242,7 +254,9 @@ pub struct TcpStack<M> {
     next_conn: u64,
     alloc_fail: bool,
     app_receiving: bool,
-    conns: BTreeMap<NodeId, Vec<Conn<M>>>,
+    /// Sockets per peer, indexed by peer id; an empty list means no
+    /// connection. Iteration therefore goes in ascending peer id.
+    conns: Vec<Vec<Conn<M>>>,
     parked: Vec<(NodeId, MsgRec<M>)>,
     /// Scratch for assembling in-order deliveries in `process_data`;
     /// kept on the stack so steady-state receive reuses its capacity
@@ -268,7 +282,7 @@ impl<M: Clone> TcpStack<M> {
             next_conn: node.0 as u64 * 1_000_000_000 + 1,
             alloc_fail: false,
             app_receiving: true,
-            conns: BTreeMap::new(),
+            conns: Vec::new(),
             parked: Vec::new(),
             delivery: Vec::new(),
             stats: TcpStats::default(),
@@ -285,14 +299,12 @@ impl<M: Clone> TcpStack<M> {
     /// Bytes buffered (sent-but-unacked plus unsent) towards `peer`,
     /// over all of its connections.
     pub fn buffered_bytes(&self, peer: NodeId) -> u64 {
-        self.conns
-            .get(&peer)
-            .map_or(0, |v| v.iter().map(Conn::buffered).sum())
+        self.peer_conns(peer).iter().map(Conn::buffered).sum()
     }
 
     /// Number of live connections (sockets) towards `peer`.
     pub fn conn_count(&self, peer: NodeId) -> usize {
-        self.conns.get(&peer).map_or(0, Vec::len)
+        self.peer_conns(peer).len()
     }
 
     /// Pauses or resumes application-level consumption (models the
@@ -314,7 +326,8 @@ impl<M: Clone> TcpStack<M> {
         let targets: Vec<(NodeId, u64, u64)> = self
             .conns
             .iter()
-            .flat_map(|(p, v)| v.iter().map(|c| (*p, c.id, c.rcv_next)))
+            .enumerate()
+            .flat_map(|(p, v)| v.iter().map(move |c| (NodeId(p), c.id, c.rcv_next)))
             .collect();
         for (peer, conn, rcv_next) in targets {
             self.emit_ack(now, peer, conn, rcv_next, out);
@@ -331,16 +344,29 @@ impl<M: Clone> TcpStack<M> {
         }
     }
 
+    /// The sockets towards `peer` (empty if there are none).
+    fn peer_conns(&self, peer: NodeId) -> &[Conn<M>] {
+        self.conns.get(peer.0).map_or(&[], Vec::as_slice)
+    }
+
+    /// The socket list towards `peer`, grown into the table if needed.
+    fn peer_conns_mut(&mut self, peer: NodeId) -> &mut Vec<Conn<M>> {
+        if self.conns.len() <= peer.0 {
+            self.conns.resize_with(peer.0 + 1, Vec::new);
+        }
+        &mut self.conns[peer.0]
+    }
+
     fn conn_mut(&mut self, peer: NodeId, id: u64) -> Option<&mut Conn<M>> {
         self.conns
-            .get_mut(&peer)
+            .get_mut(peer.0)
             .and_then(|v| v.iter_mut().find(|c| c.id == id))
     }
 
     /// The connection sends currently use: the newest established one,
     /// else the newest pending one.
     fn active_conn_id(&self, peer: NodeId) -> Option<u64> {
-        let v = self.conns.get(&peer)?;
+        let v = self.peer_conns(peer);
         v.iter()
             .filter(|c| c.state == ConnState::Established)
             .map(|c| c.id)
@@ -443,11 +469,7 @@ impl<M: Clone> TcpStack<M> {
             let seq = c.snd_sent;
             let end = c.next_seq.min(seq + mss);
             let len = (end - seq) as u32;
-            let msgs: Vec<MsgRec<M>> = c
-                .retained
-                .range(seq + 1..=end)
-                .map(|(_, rec)| rec.clone())
-                .collect();
+            let msgs = c.msgs_ending_in(seq, end);
             let ack = c.rcv_next;
             c.snd_sent = end;
             if c.first_unacked_at.is_none() {
@@ -487,15 +509,11 @@ impl<M: Clone> TcpStack<M> {
         send_rst: bool,
         out: &mut Effects<M>,
     ) {
-        let removed = match self.conns.get_mut(&peer) {
+        let removed = match self.conns.get_mut(peer.0) {
             Some(v) => {
                 let before = v.len();
                 v.retain(|c| c.id != conn);
-                let removed = v.len() != before;
-                if v.is_empty() {
-                    self.conns.remove(&peer);
-                }
-                removed
+                v.len() != before
             }
             None => false,
         };
@@ -551,12 +569,8 @@ impl<M: Clone> TcpStack<M> {
         if ack > c.snd_una {
             progressed = true;
             c.snd_una = ack;
-            while let Some((&end, _)) = c.retained.first_key_value() {
-                if end <= ack {
-                    c.retained.pop_first();
-                } else {
-                    break;
-                }
+            while c.retained.front().is_some_and(|r| r.end <= ack) {
+                c.retained.pop_front();
             }
             c.rto = initial_rto;
             // The (persistent) retransmit timer stays armed; it will
@@ -691,11 +705,12 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
     fn open(&mut self, now: SimTime, peer: NodeId, out: &mut Effects<M>) {
         // Re-opening supersedes any half-open attempt but coexists with
         // established sockets (old or new).
-        let entry = self.conns.entry(peer).or_default();
-        entry.retain(|c| c.state != ConnState::SynSent);
         let id = self.next_conn;
         self.next_conn += 1;
-        entry.push(Conn::new(id, now, ConnState::SynSent, self.config.initial_rto));
+        let rto = self.config.initial_rto;
+        let entry = self.peer_conns_mut(peer);
+        entry.retain(|c| c.state != ConnState::SynSent);
+        entry.push(Conn::new(id, now, ConnState::SynSent, rto));
         let seg = TcpSegment {
             kind: SegKind::Syn,
             conn: id,
@@ -710,14 +725,16 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
     }
 
     fn close(&mut self, peer: NodeId) {
-        self.conns.remove(&peer);
+        if let Some(v) = self.conns.get_mut(peer.0) {
+            v.clear();
+        }
         self.parked.retain(|(p, _)| *p != peer);
     }
 
     fn is_connected(&self, peer: NodeId) -> bool {
-        self.conns
-            .get(&peer)
-            .is_some_and(|v| v.iter().any(|c| c.state == ConnState::Established))
+        self.peer_conns(peer)
+            .iter()
+            .any(|c| c.state == ConnState::Established)
     }
 
     fn set_app_receiving(&mut self, now: SimTime, receiving: bool, out: &mut Effects<M>) {
@@ -770,17 +787,20 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
             c.poisoned_from = Some(start);
         }
         let poisoned = c.poisoned_from.is_some_and(|p| end > p);
-        c.retained.insert(
+        let rec = MsgRec {
+            start,
             end,
-            MsgRec {
-                start,
-                end,
-                msg,
-                class,
-                bytes,
-                poisoned,
-            },
-        );
+            msg,
+            class,
+            bytes,
+            poisoned,
+        };
+        // A zero-length message ends where the last one did and takes
+        // its place, as a map keyed by `end` would.
+        match c.retained.back_mut() {
+            Some(last) if last.end == end => *last = rec,
+            _ => c.retained.push_back(rec),
+        }
         out.push(Effect::ChargeCpu(self.cost.send_cost(bytes, class.is_bulk())));
         self.pump(now, peer, conn, out);
         SendStatus::Accepted
@@ -806,7 +826,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                     // A fresh socket from the peer — it coexists with any
                     // older connections we still hold to that node.
                     let c = Conn::new(id, now, ConnState::Established, self.config.initial_rto);
-                    self.conns.entry(peer).or_default().push(c);
+                    self.peer_conns_mut(peer).push(c);
                     if self.trace {
                         out.push(Effect::Trace(telemetry::TraceEvent::instant(
                             "tcp.connected",
@@ -947,11 +967,7 @@ impl<M: Clone> Substrate<M> for TcpStack<M> {
                 let seq = c.snd_una;
                 let end = c.snd_sent.min(seq + mss);
                 let len = (end - seq) as u32;
-                let msgs: Vec<MsgRec<M>> = c
-                    .retained
-                    .range(seq + 1..=end)
-                    .map(|(_, rec)| rec.clone())
-                    .collect();
+                let msgs = c.msgs_ending_in(seq, end);
                 c.rto = (c.rto * 2).min(max_rto);
                 let rto = c.rto;
                 let seg = TcpSegment {
@@ -1523,6 +1539,141 @@ mod tests {
         assert!(b.stats().rsts_sent >= 1);
         assert_eq!(a.conn_count(NodeId(1)), 1, "only the new socket survives");
         assert!(a.is_connected(NodeId(1)));
+    }
+
+    /// A size mangled down to zero ends the message where the previous
+    /// one ended; its record replaces that one on the send queue, so the
+    /// segment carries only the later message.
+    #[test]
+    fn zero_length_mangled_send_replaces_the_previous_record() {
+        let (mut a, mut b) = pair();
+        let mut out = Vec::new();
+        a.open(SimTime::ZERO, NodeId(1), &mut out);
+        // Queued behind the handshake, so nothing is on the wire yet.
+        a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "m1",
+            64,
+            CallParams::default(),
+            &mut out,
+        );
+        let shrunk = CallParams {
+            ptr: PtrParam::Valid,
+            size_delta: -64,
+        };
+        let st = a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "z",
+            64,
+            shrunk,
+            &mut out,
+        );
+        assert_eq!(st, SendStatus::Accepted);
+        assert_eq!(a.buffered_bytes(NodeId(1)), 64);
+        // Complete the handshake by hand to catch the first data segment.
+        let transmits = |out: Vec<Effect<&'static str>>| -> Vec<_> {
+            out.into_iter()
+                .filter_map(|e| match e {
+                    Effect::Transmit(f) => Some(f),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut syn_ack = Vec::new();
+        for f in transmits(out) {
+            b.frame_arrived(SimTime::ZERO, f, &mut syn_ack);
+        }
+        let mut data = Vec::new();
+        for f in transmits(syn_ack) {
+            a.frame_arrived(SimTime::ZERO, f, &mut data);
+        }
+        let segs = transmits(data);
+        let carried: Vec<_> = segs
+            .iter()
+            .flat_map(|f| match &f.payload {
+                WirePayload::Tcp(seg) => seg.msgs.iter().map(|r| r.msg).collect(),
+                _ => Vec::new(),
+            })
+            .collect();
+        assert_eq!(carried, ["z"]);
+        let ups = exchange(
+            SimTime::ZERO,
+            &mut [&mut a, &mut b],
+            segs.into_iter().map(Effect::Transmit).collect(),
+        );
+        let delivered: Vec<_> = ups
+            .iter()
+            .filter_map(|u| match u {
+                Upcall::Deliver { msg, .. } => Some(*msg),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, ["z"]);
+        assert_eq!(b.stats().framing_errors, 0);
+        assert_eq!(a.buffered_bytes(NodeId(1)), 0);
+    }
+
+    /// Window advertisements walk the connection table in ascending peer
+    /// id, whatever order the connections were opened in.
+    #[test]
+    fn window_advertisements_go_out_in_ascending_peer_order() {
+        let mut a = Stack::new(NodeId(0), TcpConfig::default(), CostModel::tcp());
+        let mut peers: Vec<Stack> = [5, 1, 3]
+            .into_iter()
+            .map(|n| Stack::new(NodeId(n), TcpConfig::default(), CostModel::tcp()))
+            .collect();
+        for p in &mut peers {
+            connect(&mut a, p);
+        }
+        let mut out = Vec::new();
+        a.set_app_receiving(SimTime::ZERO, false, &mut out);
+        let advertised: Vec<usize> = out
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Transmit(f) => Some(f.dst.0),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(advertised, [1, 3, 5]);
+    }
+
+    #[test]
+    fn tearing_down_the_only_connection_leaves_the_peer_unconnected() {
+        let (mut a, mut b) = pair();
+        connect(&mut a, &mut b);
+        assert_eq!(a.conn_count(NodeId(1)), 1);
+        b.restart(SimTime::ZERO);
+        let mut out = Vec::new();
+        a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "m",
+            64,
+            CallParams::default(),
+            &mut out,
+        );
+        let ups = exchange(SimTime::ZERO, &mut [&mut a, &mut b], out);
+        assert!(ups.iter().any(|u| matches!(u, Upcall::ConnBroken { .. })));
+        assert!(!a.is_connected(NodeId(1)));
+        assert_eq!(a.conn_count(NodeId(1)), 0);
+        assert_eq!(a.buffered_bytes(NodeId(1)), 0);
+        let mut out = Vec::new();
+        let st = a.send(
+            SimTime::ZERO,
+            NodeId(1),
+            MsgClass::Forward,
+            "m",
+            64,
+            CallParams::default(),
+            &mut out,
+        );
+        assert_eq!(st, SendStatus::NotConnected);
+        assert!(out.is_empty());
     }
 
     #[test]

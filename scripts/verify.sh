@@ -31,6 +31,21 @@ cargo build --release -p bench --features bench-harness --benches
 echo "== perfbench self-tests"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench fingerprints: steady and scale64"
+# The self-tests above gate the fingerprints of `faults` only. `steady`
+# and `scale64` (the N=64 digest-plus-gossip runs) are pinned at seed
+# 2003 too; `--seconds 0` runs exactly one checked pass of each, and the
+# last stdout line must report `"correct": true`.
+for workload in steady scale64; do
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 2003 --seconds 0 --trace 0 2>/dev/null | tail -1) \
+        || { echo "perfbench $workload: exited with an error" >&2; exit 1; }
+    case "$last" in
+        *'"correct": true'*) echo "   $workload correct" ;;
+        *) echo "perfbench $workload: fingerprints do not match: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo "== cargo test"
 # Single-threaded: the parallel-identity sweeps mutate the process-wide
 # sim-threads default, and serial runs keep timing-sensitive output
